@@ -60,9 +60,11 @@ void RunReaders(benchmark::State& state, bool with_writer) {
     });
   }
 
-  // Each benchmark iteration = every reader thread completes one
-  // pin/read/unpin cycle (threads persist across iterations; the benchmark
-  // loop hands out rounds via a shared epoch counter).
+  // Each benchmark iteration spawns `readers` threads, lets each complete
+  // kReadsPerRound pin/read/unpin cycles, and joins them, so thread start
+  // and join are part of every iteration. The reads run on the spawned
+  // threads, so only real time (UseRealTime) measures them; the reported
+  // CPU time is the spawning thread's alone.
   uint64_t total_reads = 0;
   for (auto _ : state) {
     std::vector<std::thread> pool;

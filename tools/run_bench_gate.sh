@@ -5,9 +5,10 @@
 #
 # Registered as the ctest test `bench_regression_gate`. Runs the counting
 # and higher-order smoke slices and diffs each against the committed
-# bench/baselines/ via tools/bench_compare.py. Unlike the bench_smoke
-# baseline comparison (which IVM_BENCH_BASELINE_DIR="" can switch off for
-# odd machines), this gate has no opt-out: a regression here fails ctest.
+# bench/baselines/ via tools/bench_compare.py --counters. Unlike the
+# bench_smoke baseline comparison (which IVM_BENCH_BASELINE_DIR="" can
+# switch off for odd machines), this gate has no opt-out: a regression here
+# fails ctest.
 #
 # Covered slices:
 #   counting     BM_SetOptimization/4       the per-stratum delta loop
@@ -15,13 +16,18 @@
 #                BM_Counting/5/1            counting on the same workload
 #                                           (pins the HO-vs-counting gap)
 #
-# Tolerance: 75% (override: IVM_BENCH_GATE_TOLERANCE). The slices run for
-# ~10ms each, so 10-20% run-to-run noise is normal; 75% only trips on
-# algorithmic regressions — a lookup turning back into a join, a suppressed
-# cascade firing again — which is exactly what the gate exists to catch.
-# Counter equality is NOT checked here: the ho.*/counting.* counters
-# accumulate over the harness's adaptive iteration count, so only per-
-# iteration times are comparable across runs.
+# What fails the gate is a change in the work itself, which is what the
+# gate exists to catch: a lookup turning back into a join, a suppressed
+# cascade firing again. Both show as COUNTER DRIFT: the deterministic
+# maintenance-work counters (counting.*, ho.*, apply.*_delta_tuples, ...)
+# are compared with the baseline per iteration and exactly, on any host.
+# Absolute time against the baseline does not decide: the per-slice time
+# ratio is printed and marked "slower" or "improved" beyond 75% (override:
+# IVM_BENCH_GATE_TOLERANCE), but recorded times move by up to ~2x on a
+# shared host while the program is unchanged. One time bar is kept because
+# it is relative within a single run: BM_HigherOrder/5/1 must stay at least
+# 3x faster than BM_Counting/5/1, the acceptance bar of
+# bench/bench_higher_order.cc.
 set -u
 
 BUILD_DIR="${1:?usage: run_bench_gate.sh BUILD_DIR}"
@@ -57,15 +63,39 @@ run_slice() {
     fail=1
     return
   fi
-  if ! python3 "$SCRIPT_DIR/bench_compare.py" --tolerance "$TOLERANCE" \
-      "$baseline" "$OUT_DIR/BENCH_$name.json"; then
-    echo "FAIL: BENCH_$name.json regressed vs baseline" >&2
+  if ! python3 "$SCRIPT_DIR/bench_compare.py" --counters \
+      --tolerance "$TOLERANCE" "$baseline" "$OUT_DIR/BENCH_$name.json"; then
+    echo "FAIL: BENCH_$name.json drifted from baseline" >&2
     fail=1
   fi
 }
 
 run_slice set_optimization 'BM_SetOptimization/4$'
 run_slice higher_order 'BM_HigherOrder/5/1$|BM_Counting/5/1$'
+
+# The higher-order/counting gap, measured within this one run.
+if [[ -e "$OUT_DIR/BENCH_higher_order.json" ]] && ! python3 - \
+    "$OUT_DIR/BENCH_higher_order.json" <<'PY'
+import json
+import sys
+
+cpu = {}
+with open(sys.argv[1], encoding="utf-8") as f:
+    for line in f:
+        rec = json.loads(line)
+        if rec.get("run_type") == "iteration" and not rec.get("error"):
+            cpu[rec["run"]] = rec["cpu_time_ns"]
+if "BM_HigherOrder/5/1" not in cpu or "BM_Counting/5/1" not in cpu:
+    sys.exit("FAIL: BENCH_higher_order.json lacks the 5-way batch-1 runs")
+gap = cpu["BM_Counting/5/1"] / cpu["BM_HigherOrder/5/1"]
+print(f"higher-order vs counting, 5-way batch-1: {gap:.1f}x faster "
+      f"(bar: 3x)")
+sys.exit(0 if gap >= 3 else 1)
+PY
+then
+  echo "FAIL: BM_HigherOrder/5/1 is not 3x faster than BM_Counting/5/1" >&2
+  fail=1
+fi
 
 if [[ "$fail" -ne 0 ]]; then
   echo "bench gate: FAILED" >&2
