@@ -91,6 +91,7 @@ Result<ChangeSet> ConstraintChecker::ApplyChecked(
     v.tuples = rel->SortedTuples();
     last_violations_.push_back(std::move(v));
   }
+  after.Release();  // a held pin would make the rollback's commit copy
   if (last_violations_.empty()) return out;
 
   // Roll back: apply the inverse of the effective base delta (which by

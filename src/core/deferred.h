@@ -69,14 +69,6 @@ class DeferredViewManager {
   /// Refresh (staged-but-unapplied changes are invisible, by design).
   Snapshot snapshot() const { return inner_->snapshot(); }
 
-  /// Stale read of one extent as of the last Refresh. Prefer snapshot()
-  /// when reading several relations: one handle pins one epoch for all of
-  /// them, and the pointer lifetime is explicit.
-  Result<const Relation*> GetRelation(const std::string& name) const {
-    legacy_snapshot_ = inner_->snapshot();
-    return legacy_snapshot_.Get(name);
-  }
-
   /// The currently staged (not yet applied) base delta for `name`.
   const Relation& StagedDelta(const std::string& name) const {
     return staged_.Delta(name);
@@ -87,9 +79,6 @@ class DeferredViewManager {
  private:
   std::unique_ptr<ViewManager> inner_;
   ChangeSet staged_;
-  /// Keeps the last GetRelation() result pinned (the legacy pointer-return
-  /// contract needs the extent to outlive the call).
-  mutable Snapshot legacy_snapshot_;
 };
 
 }  // namespace ivm

@@ -40,10 +40,13 @@ struct SnapshotContext {
 ///
 /// The handle is move-only RAII: destruction (or an explicit Release())
 /// unpins. It must not outlive its ViewManager. Pointers returned by Get()
-/// are valid while the snapshot is alive — and, for callers that drop the
-/// snapshot early, until the writer both commits a mutation that touches the
-/// relation and reclaims the version (do not rely on that grace window; keep
-/// the snapshot pinned instead).
+/// are valid, and their contents fixed, only while the snapshot is alive:
+/// once no snapshot is pinned, the very next commit may write its changes
+/// into the same extents in place. Keep the snapshot for as long as the
+/// pointers are used.
+///
+/// A snapshot() call that overlaps such an in-place commit waits for it;
+/// the wait is proportional to the tuples the commit changed.
 ///
 /// A default-constructed (or released/moved-from) handle is invalid:
 /// accessors that need state return FailedPrecondition.

@@ -1,7 +1,9 @@
 #include "core/view_manager.h"
 
+#include <algorithm>
 #include <exception>
 #include <filesystem>
+#include <optional>
 #include <utility>
 
 #include "analysis/advisor.h"
@@ -148,7 +150,7 @@ Status ViewManager::Initialize(const Database& base) {
   }
   // Publish epoch 0 before durability opens, so the seed Checkpoint (and any
   // concurrent reader) sees the initialized state.
-  PublishSnapshot(/*republish_all=*/true);
+  PublishSnapshot(/*net=*/nullptr);
   if (!configured_durable_dir_.empty() && wal_ == nullptr) {
     IVM_RETURN_IF_ERROR(OpenDurability(configured_durable_dir_));
   }
@@ -206,13 +208,14 @@ Status ViewManager::Checkpoint() {
   // Serialize from a pinned snapshot of the latest committed epoch, not the
   // maintainer's live slots: the checkpoint then captures exactly one
   // epoch's contents even though readers (and the span's own clock reads)
-  // run concurrently, and the extents stay alive for the whole write.
+  // run concurrently, and the pinned extents stay alive and unchanged for
+  // the whole write, so they are written as they are, not copied.
   Snapshot snap = snapshot();
   if (!snap.valid()) {
     return Status::FailedPrecondition(
         "nothing published yet; call Initialize() before Checkpoint()");
   }
-  CheckpointData data;
+  CheckpointSource data;
   data.epoch = epoch_;
   data.strategy = StrategyName(strategy_);
   data.semantics = semantics_ == Semantics::kDuplicate ? "duplicate" : "set";
@@ -221,12 +224,12 @@ Status ViewManager::Checkpoint() {
   for (PredicateId p : prog.BasePredicates()) {
     const PredicateInfo& info = prog.predicate(p);
     IVM_ASSIGN_OR_RETURN(const Relation* rel, snap.Get(info.name));
-    data.base.emplace(info.name, *rel);
+    data.base.emplace(info.name, rel);
   }
   for (PredicateId p : prog.DerivedPredicates()) {
     const PredicateInfo& info = prog.predicate(p);
     IVM_ASSIGN_OR_RETURN(const Relation* rel, snap.Get(info.name));
-    data.views.emplace(info.name, *rel);
+    data.views.emplace(info.name, rel);
   }
   IVM_RETURN_IF_ERROR(WriteCheckpoint(durable_dir_, data, metrics_));
   CounterAdd(metrics_, "checkpoint.count");
@@ -310,15 +313,27 @@ Result<std::unique_ptr<ViewManager>> ViewManager::Recover(
   // Replay published intermediate versions with replay-local epoch numbers;
   // republish once under the authoritative logged epoch so the first
   // post-recovery snapshot reports it correctly.
-  manager->PublishSnapshot(/*republish_all=*/true);
+  manager->PublishSnapshot(/*net=*/nullptr);
 
   IVM_RETURN_IF_ERROR(manager->EnableDurability(dir));
   return manager;
 }
 
 Status ViewManager::CheckPostConditions(const ChangeSet& base_changes,
-                                        const ChangeSet& view_changes) const {
+                                        const ChangeSet& view_changes,
+                                        const TxnNetChanges* net) const {
   IVM_RETURN_IF_ERROR(view_changes.Validate());
+  auto has_negative = [&](const Relation& rel) {
+    const RelationNetChange* change = nullptr;
+    if (net != nullptr) {
+      auto it = net->find(&rel);
+      if (it != net->end() && !it->second.bulk) change = &it->second;
+    }
+    if (change == nullptr) return rel.HasNegativeCounts();
+    // Counts the transaction did not change passed this check before.
+    return std::any_of(change->tuples.begin(), change->tuples.end(),
+                       [&](const Tuple& t) { return rel.Count(t) < 0; });
+  };
   auto check = [&](const std::string& name) -> Status {
     auto rel = impl_->GetRelation(name);
     if (!rel.ok()) return Status::OK();  // not stored by this maintainer
@@ -326,7 +341,7 @@ Status ViewManager::CheckPostConditions(const ChangeSet& base_changes,
       return Status::InvalidArgument("count arithmetic for relation '" + name +
                                      "' overflowed int64");
     }
-    if (semantics_ == Semantics::kSet && (*rel)->HasNegativeCounts()) {
+    if (semantics_ == Semantics::kSet && has_negative(**rel)) {
       return Status::Internal("Lemma 4.1 violated: relation '" + name +
                               "' holds a negative count after maintenance");
     }
@@ -378,9 +393,9 @@ Status ViewManager::CommitDurable(
 
 Status ViewManager::FinishMutation(
     MaintainerTxn* txn, const ChangeSet& base_changes,
-    const ChangeSet& view_changes,
+    const ChangeSet& view_changes, const TxnNetChanges* net,
     const std::function<Status(uint64_t)>& append) {
-  Status status = CheckPostConditions(base_changes, view_changes);
+  Status status = CheckPostConditions(base_changes, view_changes, net);
   // The durable append happens BEFORE trigger dispatch, so subscribers only
   // ever observe deltas of mutations that are already on disk — a failed
   // WAL append can no longer emit a phantom notification for a mutation
@@ -447,11 +462,14 @@ Result<ChangeSet> ViewManager::ApplyImpl(const ChangeSet& base_changes,
     CounterAdd(metrics_, "mutations.rolled_back");
     return result.status();
   }
+  // Taken before the commit discards the log; publication writes it.
+  const std::optional<TxnNetChanges> net = txn->NetChanges();
+  const TxnNetChanges* net_ptr = net.has_value() ? &*net : nullptr;
   IVM_RETURN_IF_ERROR(FinishMutation(
-      txn.get(), base_changes, result.value(), [&](uint64_t epoch) {
+      txn.get(), base_changes, result.value(), net_ptr, [&](uint64_t epoch) {
         return wal_->AppendChangeSet(epoch, base_changes.deltas());
       }));
-  PublishSnapshot(/*republish_all=*/false);
+  PublishSnapshot(net_ptr);
   if (metrics_ != nullptr) {
     metrics_->counter("apply.base_delta_tuples")->Add(base_delta_tuples);
     metrics_->counter("apply.view_delta_tuples")
@@ -477,54 +495,81 @@ Snapshot ViewManager::snapshot() const {
   return Snapshot(&epochs_, epochs_.Pin(), metrics_);
 }
 
-Result<const Relation*> ViewManager::GetRelation(
-    const std::string& name) const {
-  // Re-pin only when a newer version was published since the last call;
-  // otherwise keep the existing pin, so pointers handed out earlier stay
-  // valid exactly until the next mutation — the legacy contract.
-  const uint64_t sequence = epochs_.current_sequence();
-  if (!legacy_snapshot_.valid() || legacy_sequence_ != sequence) {
-    legacy_snapshot_ = snapshot();
-    legacy_sequence_ = sequence;
-  }
-  return legacy_snapshot_.Get(name);
-}
-
-void ViewManager::PublishSnapshot(bool republish_all) {
+void ViewManager::PublishSnapshot(const TxnNetChanges* net) {
   auto version = std::make_shared<StorageVersion>();
   version->epoch = epoch_;
   version->payload = context_;
   const std::shared_ptr<const StorageVersion> prev = epochs_.Current();
   const Program& prog = impl_->program();
+  // Extents brought up to date in place, unless a reader pins them.
+  std::vector<ExtentWrite> writes;
+  std::vector<PublishedExtent*> written;
+  uint64_t shared = 0;
+  uint64_t copied_tuples = 0;
+  uint64_t replayed_tuples = 0;
   auto publish_one = [&](PredicateId p) {
-    const PredicateInfo& info = prog.predicate(p);
-    Result<const Relation*> stored = impl_->GetRelation(info.name);
+    const std::string& name = prog.predicate(p).name;
+    Result<const Relation*> stored = impl_->GetRelation(name);
     if (!stored.ok()) return;  // not materialized by this maintainer
     const Relation* source = stored.value();
-    if (!republish_all && prev != nullptr) {
-      // Copy-on-write: reuse the previous extent when it demonstrably
-      // materializes the same contents — same storage slot (by uid, so a
-      // destroyed slot re-created at a reused address can never match), same
-      // slot version. Relation's assignment operators always bump the
-      // target's version (never inheriting the source's), so a stale match
-      // is impossible even across rule changes.
-      auto it = prev->extents.find(info.name);
-      if (it != prev->extents.end() && it->second.source_uid == source->uid() &&
-          it->second.source_version == source->version()) {
-        version->extents.emplace(info.name, it->second);
-        CounterAdd(metrics_, "storage.extents_shared");
+    PublishedExtent& out = version->extents[name];
+    out.source_uid = source->uid();
+    out.source_version = source->version();
+    // The previous extent of the same slot. Relation::uid() is never
+    // reused, and assignment bumps the target's version, so a matching
+    // (uid, version) proves the slot untouched since it was published.
+    const PublishedExtent* last = nullptr;
+    if (prev != nullptr) {
+      auto it = prev->extents.find(name);
+      if (it != prev->extents.end() && it->second.source_uid == source->uid()) {
+        last = &it->second;
+      }
+    }
+    if (last != nullptr && last->source_version == source->version()) {
+      out.extent = last->extent;
+      ++shared;
+      return;
+    }
+    if (last != nullptr && net != nullptr) {
+      // The log holds every edit since that publication only if the slot
+      // was still at the published version when the transaction began.
+      auto change = net->find(source);
+      if (change != net->end() && !change->second.bulk &&
+          change->second.begin_version == last->source_version) {
+        out.extent = last->extent;
+        writes.push_back(
+            ExtentWrite{last->extent.get(), source, &change->second.tuples});
+        written.push_back(&out);
+        replayed_tuples += change->second.tuples.size();
         return;
       }
     }
-    PublishedExtent extent;
-    extent.extent = std::make_shared<const Relation>(*source);
-    extent.source_uid = source->uid();
-    extent.source_version = source->version();
-    version->extents.emplace(info.name, std::move(extent));
+    out.extent = std::make_shared<const Relation>(*source);
+    copied_tuples += source->size();
   };
   for (PredicateId p : prog.BasePredicates()) publish_one(p);
   for (PredicateId p : prog.DerivedPredicates()) publish_one(p);
-  epochs_.Publish(std::move(version));
+  const bool in_place =
+      !writes.empty() && epochs_.PublishInPlace(version, writes);
+  if (!in_place) {
+    // Nothing to write in place, or a snapshot is pinned and its extents
+    // must not change: copy the relations that were to be written.
+    for (size_t i = 0; i < writes.size(); ++i) {
+      written[i]->extent = std::make_shared<const Relation>(*writes[i].source);
+      copied_tuples += writes[i].source->size();
+    }
+    epochs_.Publish(std::move(version));
+  }
+  if (metrics_ != nullptr) {
+    if (shared > 0) metrics_->counter("storage.extents_shared")->Add(shared);
+    if (in_place) {
+      metrics_->counter("storage.extents_replayed")->Add(writes.size());
+      metrics_->counter("storage.tuples_replayed")->Add(replayed_tuples);
+    }
+    if (copied_tuples > 0) {
+      metrics_->counter("storage.tuples_copied")->Add(copied_tuples);
+    }
+  }
 }
 
 Result<ChangeSet> ViewManager::AddRule(const Rule& rule) {
@@ -547,7 +592,8 @@ Result<ChangeSet> ViewManager::AddRule(const Rule& rule) {
   }
   const ChangeSet no_base_changes;
   IVM_RETURN_IF_ERROR(FinishMutation(
-      txn.get(), no_base_changes, result.value(), [&](uint64_t epoch) {
+      txn.get(), no_base_changes, result.value(), /*net=*/nullptr,
+      [&](uint64_t epoch) {
         return wal_->AppendAddRule(epoch, rule.ToString());
       }));
   RepublishAfterRuleChange();
@@ -577,7 +623,8 @@ Result<ChangeSet> ViewManager::RemoveRule(int rule_index) {
   }
   const ChangeSet no_base_changes;
   IVM_RETURN_IF_ERROR(FinishMutation(
-      txn.get(), no_base_changes, result.value(), [&](uint64_t epoch) {
+      txn.get(), no_base_changes, result.value(), /*net=*/nullptr,
+      [&](uint64_t epoch) {
         return wal_->AppendRemoveRule(epoch, rule_index);
       }));
   RepublishAfterRuleChange();
@@ -586,16 +633,15 @@ Result<ChangeSet> ViewManager::RemoveRule(int rule_index) {
 
 void ViewManager::RepublishAfterRuleChange() {
   // The rule set itself changed: capture a fresh context for readers so
-  // later-pinned snapshots parse/plan against the new program. Extents go
-  // through the normal copy-on-write path: relations a rule change did not
-  // touch keep their (uid, version) fingerprint and are shared, while slots
-  // the change rebuilt — including any destroyed and re-created at a reused
-  // address — carry a fresh uid and are republished.
+  // later-pinned snapshots parse/plan against the new program. Relations a
+  // rule change did not touch keep their (uid, version) fingerprint and are
+  // shared, while slots the change rebuilt — including any destroyed and
+  // re-created at a reused address — carry a fresh uid and are copied.
   auto context = std::make_shared<SnapshotContext>();
   context->program = impl_->program();
   context->semantics = semantics_;
   context_ = std::move(context);
-  PublishSnapshot(/*republish_all=*/false);
+  PublishSnapshot(/*net=*/nullptr);
 }
 
 }  // namespace ivm

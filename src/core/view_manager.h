@@ -25,6 +25,7 @@
 #include "obs/metrics.h"
 #include "storage/database.h"
 #include "storage/epoch.h"
+#include "txn/txn.h"
 #include "txn/wal.h"
 
 namespace ivm {
@@ -65,9 +66,11 @@ namespace ivm {
 /// at most one thread calls Apply/AddRule/RemoveRule/Checkpoint at a time —
 /// but snapshot() may be called from any number of threads concurrently with
 /// the writer. Each committed mutation atomically publishes a new
-/// epoch-stamped, immutable version of every relation (copy-on-write: only
-/// relations the mutation touched are copied); a pinned Snapshot keeps
-/// reading its own epoch, untouched, for as long as it is held.
+/// epoch-stamped version of every relation: untouched relations are shared
+/// with the previous version, and a touched one gets the mutation's net
+/// changes written into its published extent when no snapshot is pinned,
+/// or is copied when one is. A pinned Snapshot keeps reading its own epoch,
+/// untouched, for as long as it is held.
 class ViewManager {
  public:
   /// Construction-time configuration. Replaces the positional-argument tail
@@ -201,13 +204,6 @@ class ViewManager {
       manager_ = nullptr;
     }
 
-    /// Releases ownership without deregistering and returns the raw id —
-    /// the bridge to the legacy int-based API.
-    int Detach() {
-      manager_ = nullptr;
-      return id_;
-    }
-
     bool active() const { return manager_ != nullptr; }
     int id() const { return id_; }
 
@@ -225,21 +221,11 @@ class ViewManager {
 
   /// Pins the latest committed epoch and returns a read handle over it.
   /// Cheap (one refcount bump under a short lock, no data copied) and safe
-  /// to call from any thread, concurrently with the single writer. Requires
-  /// Initialize(); before that the returned handle is invalid (its accessors
-  /// return FailedPrecondition).
+  /// to call from any thread, concurrently with the single writer. A call
+  /// that overlaps an in-place publication waits for it, O(net changed
+  /// tuples). Requires Initialize(); before that the returned handle is
+  /// invalid (its accessors return FailedPrecondition).
   Snapshot snapshot() const;
-
-  /// Current extent of a view or base-relation snapshot.
-  ///
-  /// Deprecated: this accessor cannot be used concurrently with mutations,
-  /// and the pointer it returns is silently invalidated by the next
-  /// Apply/AddRule/RemoveRule. Use snapshot().Get(name): the extent is then
-  /// immutable and pinned for the life of the handle. The forwarder keeps
-  /// the legacy contract (pointer valid until the next mutation) by holding
-  /// a hidden snapshot of the latest epoch.
-  [[deprecated("use snapshot().Get(name); see docs/concurrency.md")]]
-  Result<const Relation*> GetRelation(const std::string& name) const;
 
   /// View redefinition (Section 7): only supported by the DRed strategy.
   Result<ChangeSet> AddRule(const Rule& rule);
@@ -267,17 +253,19 @@ class ViewManager {
   /// Shared EnableDurability body, after the directory-conflict checks.
   Status OpenDurability(const std::string& dir);
 
-  /// Publishes the maintainer's current state as a new immutable epoch
-  /// version (storage/epoch.h). Copy-on-write: an extent whose source slot
-  /// and slot-version match the previous publication is shared (shared_ptr
-  /// aliasing, no copy); only changed relations are deep-copied.
-  /// `republish_all` forces fresh copies of everything — used by rule
-  /// changes (the predicate set itself changed, and slot addresses may have
-  /// been reused) and recovery.
-  void PublishSnapshot(bool republish_all);
+  /// Publishes the maintainer's current state as a new epoch version
+  /// (storage/epoch.h). An extent whose source slot and slot version match
+  /// the previous publication is shared as is. A changed relation whose
+  /// every edit since then is in `net` (the committed transaction's net
+  /// changes) has those tuples written into its published extent in place,
+  /// which keeps the extent's indexes warm — unless a snapshot is pinned.
+  /// Every other changed relation, and all of them when `net` is null
+  /// (bulk replacements: Initialize, Recover, recompute, rule changes), is
+  /// deep-copied.
+  void PublishSnapshot(const TxnNetChanges* net);
 
   /// Rule-change commit tail: rebuilds the reader context (new program) and
-  /// force-republishes every extent.
+  /// republishes, copying every relation the change touched.
   void RepublishAfterRuleChange();
 
   /// Deregistration core shared by Subscription and the deprecated
@@ -291,9 +279,12 @@ class ViewManager {
 
   /// Commit-time invariants, checked before the transaction commits:
   /// no touched relation overflowed its counts, and under set semantics no
-  /// touched relation holds a negative count (Lemma 4.1).
+  /// touched relation holds a negative count (Lemma 4.1). With `net`, only
+  /// the tuples it lists are checked for a negative count; a relation it
+  /// has no per-tuple record of is scanned in full.
   Status CheckPostConditions(const ChangeSet& base_changes,
-                             const ChangeSet& view_changes) const;
+                             const ChangeSet& view_changes,
+                             const TxnNetChanges* net) const;
 
   /// Dispatches `view_changes` to every subscription. A throwing trigger is
   /// converted into an error Status (and the caller rolls back).
@@ -305,8 +296,10 @@ class ViewManager {
 
   /// Shared Apply/AddRule/RemoveRule tail: post-conditions, triggers,
   /// durable commit; rolls `txn` back on any failure, commits otherwise.
+  /// `net` is `txn`'s net changes, when it records them.
   Status FinishMutation(MaintainerTxn* txn, const ChangeSet& base_changes,
                         const ChangeSet& view_changes,
+                        const TxnNetChanges* net,
                         const std::function<Status(uint64_t)>& append);
 
   /// The parallel evaluation engine; always non-null (serial when
@@ -332,18 +325,11 @@ class ViewManager {
   MetricsRegistry* metrics_ = nullptr;
 
   /// The epoch-versioned publication chain read by snapshot(). Mutable so
-  /// snapshot() / the deprecated GetRelation() stay const; EpochManager is
-  /// internally synchronized.
+  /// snapshot() stays const; EpochManager is internally synchronized.
   mutable EpochManager epochs_;
   /// Program + semantics captured for readers; shared across versions and
   /// rebuilt only on rule changes.
   std::shared_ptr<const SnapshotContext> context_;
-  /// Backs the deprecated GetRelation(): a hidden pin of the latest epoch,
-  /// refreshed (re-pinned) whenever the publication sequence advances —
-  /// which reproduces the legacy "pointer valid until the next mutation"
-  /// lifetime exactly.
-  mutable Snapshot legacy_snapshot_;
-  mutable uint64_t legacy_sequence_ = 0;
 };
 
 }  // namespace ivm

@@ -9,7 +9,28 @@ namespace ivm {
 void EpochManager::Publish(std::shared_ptr<StorageVersion> version) {
   IVM_CHECK(version != nullptr) << "Publish(nullptr)";
   MutexLock lock(&mu_);
-  version->sequence = next_sequence_++;
+  PublishLocked(std::move(version));
+}
+
+bool EpochManager::PublishInPlace(std::shared_ptr<StorageVersion> version,
+                                  const std::vector<ExtentWrite>& writes) {
+  IVM_CHECK(version != nullptr) << "PublishInPlace(nullptr)";
+  MutexLock lock(&mu_);
+  if (total_pins_ != 0) return false;
+  for (const ExtentWrite& write : writes) {
+    // Extents are immutable only while a reader can reach them. With no pin
+    // outstanding none can, and none can pin until the lock is released.
+    auto* extent = const_cast<Relation*>(write.extent);
+    for (const Tuple& tuple : *write.tuples) {
+      extent->Set(tuple, write.source->Count(tuple));
+    }
+    extent->set_overflowed(write.source->overflowed());
+  }
+  PublishLocked(std::move(version));
+  return true;
+}
+
+void EpochManager::PublishLocked(std::shared_ptr<StorageVersion> version) {
   std::shared_ptr<const StorageVersion> previous = std::move(current_);
   current_ = std::move(version);
   if (previous != nullptr) {
@@ -65,11 +86,6 @@ void EpochManager::Unpin(const StorageVersion* version) {
 std::shared_ptr<const StorageVersion> EpochManager::Current() const {
   MutexLock lock(&mu_);
   return current_;
-}
-
-uint64_t EpochManager::current_sequence() const {
-  MutexLock lock(&mu_);
-  return current_ == nullptr ? 0 : current_->sequence;
 }
 
 int64_t EpochManager::pinned_snapshots() const {

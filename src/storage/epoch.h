@@ -14,25 +14,35 @@
 
 namespace ivm {
 
-/// One immutable published copy of a relation, plus the identity of the
-/// writer-side storage slot it was copied from. `source_uid`/`source_version`
-/// form an opaque fingerprint the next publication uses for copy-on-write
-/// change detection: a slot whose uid and modification counter both match
-/// the previous publication is provably untouched (Relation::uid() is unique
-/// per object lifetime — a destroyed-and-recreated slot at a reused address
-/// can never be confused with its predecessor — and Relation::version() is
-/// monotone per slot, bumping on every effective mutation including
-/// rollbacks), so its extent is shared into the new version instead of
-/// copied.
+/// One published extent of a relation, plus the identity of the
+/// writer-side storage slot whose contents it holds. `source_uid`/
+/// `source_version` form an opaque fingerprint the next publication uses
+/// for change detection: a slot whose uid and modification counter both
+/// match the previous publication is provably untouched (Relation::uid() is
+/// unique per object lifetime — a destroyed-and-recreated slot at a reused
+/// address can never be confused with its predecessor — and
+/// Relation::version() is monotone per slot, bumping on every effective
+/// mutation including rollbacks), so its extent is shared into the new
+/// version as is.
 struct PublishedExtent {
   std::shared_ptr<const Relation> extent;
   uint64_t source_uid = 0;
   uint64_t source_version = 0;
 };
 
-/// An epoch-stamped, immutable picture of every published relation. Once a
-/// version is handed to EpochManager::Publish it is frozen: readers may walk
-/// `extents` from any thread without synchronization.
+/// One in-place edit of a published extent: each of `tuples` takes its count
+/// in the live slot `source` (0 erases it), and so does the overflow flag.
+struct ExtentWrite {
+  const Relation* extent;
+  const Relation* source;
+  const std::vector<Tuple>* tuples;
+};
+
+/// An epoch-stamped picture of every published relation. Once a version is
+/// handed to EpochManager::Publish it is frozen for as long as any reader
+/// pins it: readers may walk `extents` from any thread without
+/// synchronization. Only EpochManager::PublishInPlace, with no pin
+/// outstanding, writes into an extent again.
 ///
 /// `payload` carries upper-layer context the storage layer is agnostic to
 /// (the core layer stashes the program and semantics that produced these
@@ -41,9 +51,6 @@ struct PublishedExtent {
 struct StorageVersion {
   /// Writer epoch (ViewManager mutation counter) this version materializes.
   uint64_t epoch = 0;
-  /// Monotone publication counter, assigned by Publish(). Distinguishes
-  /// republications of the same epoch (e.g. Recover's final re-stamp).
-  uint64_t sequence = 0;
   std::map<std::string, PublishedExtent, std::less<>> extents;
   std::shared_ptr<const void> payload;
 };
@@ -70,8 +77,6 @@ struct StorageVersion {
 ///   storage.retired_versions   gauge   retired versions still pinned
 ///   storage.extents_reclaimed  counter extents dropped with no surviving
 ///                                      version sharing them
-///   storage.extents_shared     counter extents shared (not copied) by a
-///                                      publication — the CoW hit counter
 class EpochManager {
  public:
   EpochManager() = default;
@@ -82,10 +87,22 @@ class EpochManager {
   /// unsynchronized); the registry, when given, must outlive the manager.
   void AttachMetrics(MetricsRegistry* metrics) { metrics_ = metrics; }
 
-  /// Writer side: makes `version` the current version (stamping its
-  /// `sequence`), retires the previous one, and reclaims every retired
-  /// version whose pin count already reached zero.
+  /// Writer side: makes `version` the current version, retires the
+  /// previous one, and reclaims every retired version whose pin count
+  /// already reached zero.
   void Publish(std::shared_ptr<StorageVersion> version) IVM_EXCLUDES(mu_);
+
+  /// Writer side, in place: when no snapshot of any version is pinned,
+  /// applies `writes` to their extents while holding the lock, then
+  /// publishes `version` as Publish() does and returns true. No Pin() can
+  /// start until the writes are done, so no reader sees a half-written
+  /// extent; a Pin() that arrives meanwhile waits for them. When any
+  /// snapshot is pinned, changes nothing and returns false (the caller
+  /// publishes copies instead). Every written extent must be reachable only
+  /// through versions this manager holds.
+  bool PublishInPlace(std::shared_ptr<StorageVersion> version,
+                      const std::vector<ExtentWrite>& writes)
+      IVM_EXCLUDES(mu_);
 
   /// Reader side: returns the current version with its pin count bumped
   /// (nullptr before the first Publish — nothing to pin). Every successful
@@ -102,9 +119,6 @@ class EpochManager {
   /// read-modify-publish cycle).
   std::shared_ptr<const StorageVersion> Current() const IVM_EXCLUDES(mu_);
 
-  /// Sequence number of the current version (0 before the first Publish).
-  uint64_t current_sequence() const IVM_EXCLUDES(mu_);
-
   /// Outstanding pins across all versions.
   int64_t pinned_snapshots() const IVM_EXCLUDES(mu_);
 
@@ -120,6 +134,9 @@ class EpochManager {
     int64_t pins = 0;
   };
 
+  void PublishLocked(std::shared_ptr<StorageVersion> version)
+      IVM_REQUIRES(mu_);
+
   /// Drops `version`'s manager reference, counting every extent no other
   /// live version shares as reclaimed.
   void ReclaimLocked(const std::shared_ptr<const StorageVersion>& version)
@@ -132,7 +149,6 @@ class EpochManager {
   int64_t current_pins_ IVM_GUARDED_BY(mu_) = 0;
   std::vector<RetiredVersion> retired_ IVM_GUARDED_BY(mu_);
   int64_t total_pins_ IVM_GUARDED_BY(mu_) = 0;
-  uint64_t next_sequence_ IVM_GUARDED_BY(mu_) = 1;
   uint64_t extents_reclaimed_ IVM_GUARDED_BY(mu_) = 0;
 
   /// Set once before concurrent use; read from both sides thereafter.

@@ -162,7 +162,7 @@ Result<CheckpointData> ReadCheckpointDir(const fs::path& cp) {
 
 }  // namespace
 
-Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
+Status WriteCheckpoint(const std::string& dir, const CheckpointSource& data,
                        MetricsRegistry* metrics) {
   std::error_code ec;
   const fs::path root(dir);
@@ -181,11 +181,13 @@ Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
   // 1. Relation files first; the manifest that indexes them is written last,
   // so a crash here leaves a manifest-less (= invisible) staging dir.
   for (const auto& [name, rel] : data.base) {
-    IVM_RETURN_IF_ERROR(WriteRelationFile(tmp / ("base_" + name + ".csv"), rel));
+    IVM_RETURN_IF_ERROR(
+        WriteRelationFile(tmp / ("base_" + name + ".csv"), *rel));
     IVM_FAILPOINT("checkpoint.relation");
   }
   for (const auto& [name, rel] : data.views) {
-    IVM_RETURN_IF_ERROR(WriteRelationFile(tmp / ("view_" + name + ".csv"), rel));
+    IVM_RETURN_IF_ERROR(
+        WriteRelationFile(tmp / ("view_" + name + ".csv"), *rel));
     IVM_FAILPOINT("checkpoint.relation");
   }
 
@@ -206,11 +208,11 @@ Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
     out << data.program_text;
     out << "base " << data.base.size() << "\n";
     for (const auto& [name, rel] : data.base) {
-      out << name << " " << rel.arity() << " base_" << name << ".csv\n";
+      out << name << " " << rel->arity() << " base_" << name << ".csv\n";
     }
     out << "views " << data.views.size() << "\n";
     for (const auto& [name, rel] : data.views) {
-      out << name << " " << rel.arity() << " view_" << name << ".csv\n";
+      out << name << " " << rel->arity() << " view_" << name << ".csv\n";
     }
     out << "end\n";
     out.flush();
@@ -251,6 +253,15 @@ Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
   IVM_RETURN_IF_ERROR(SyncPath(root, /*directory=*/true));
   fs::remove_all(old, ec);
   return Status::OK();
+}
+
+Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
+                       MetricsRegistry* metrics) {
+  CheckpointSource source;
+  static_cast<CheckpointMeta&>(source) = data;
+  for (const auto& [name, rel] : data.base) source.base.emplace(name, &rel);
+  for (const auto& [name, rel] : data.views) source.views.emplace(name, &rel);
+  return WriteCheckpoint(dir, source, metrics);
 }
 
 Result<CheckpointData> ReadCheckpoint(const std::string& dir) {

@@ -11,19 +11,32 @@
 
 namespace ivm {
 
-/// A durable snapshot of one ViewManager: the program, the chosen strategy
-/// and semantics, the base-relation snapshot, and the materialized views
-/// (all with counts). Together with the WAL tail (records with epoch >
-/// checkpoint epoch) this reconstructs the manager exactly.
-struct CheckpointData {
+/// The manager-level facts a checkpoint records besides its relations.
+struct CheckpointMeta {
   /// Epoch of the last committed operation folded into this snapshot; WAL
   /// replay resumes after it.
   uint64_t epoch = 0;
   std::string strategy;       // StrategyName() of the manager's strategy
   std::string semantics;      // "set" or "duplicate"
   std::string program_text;   // Program::ToString(); re-parsed on recovery
+};
+
+/// A durable snapshot of one ViewManager: the program, the chosen strategy
+/// and semantics, the base-relation snapshot, and the materialized views
+/// (all with counts). Together with the WAL tail (records with epoch >
+/// checkpoint epoch) this reconstructs the manager exactly. ReadCheckpoint
+/// returns one, owning its relations.
+struct CheckpointData : CheckpointMeta {
   std::map<std::string, Relation> base;
   std::map<std::string, Relation> views;
+};
+
+/// What WriteCheckpoint serializes: the same contents with the relations
+/// borrowed, so writing one copies none. They must stay alive and unchanged
+/// for the call (ViewManager points them into a pinned snapshot).
+struct CheckpointSource : CheckpointMeta {
+  std::map<std::string, const Relation*> base;
+  std::map<std::string, const Relation*> views;
 };
 
 /// On-disk layout under `dir`:
@@ -42,6 +55,9 @@ struct CheckpointData {
 /// `metrics`, when given, records the staging (`checkpoint.write`) and
 /// publish (`checkpoint.swap`) phases as spans plus the
 /// `checkpoint.bytes_staged` counter.
+Status WriteCheckpoint(const std::string& dir, const CheckpointSource& data,
+                       MetricsRegistry* metrics = nullptr);
+/// Writes an owned CheckpointData (borrowing its relations).
 Status WriteCheckpoint(const std::string& dir, const CheckpointData& data,
                        MetricsRegistry* metrics = nullptr);
 

@@ -1,5 +1,6 @@
 #include "txn/undo_log.h"
 
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -11,7 +12,7 @@ UndoLog::UndoLog(std::vector<Relation*> relations) {
   for (Relation* rel : relations) {
     IVM_CHECK(rel != nullptr);
     rel->set_undo_hook(this);
-    tracked_.push_back(Tracked{rel, rel->overflowed()});
+    tracked_.push_back(Tracked{rel, rel->overflowed(), rel->version()});
   }
 }
 
@@ -60,6 +61,28 @@ void UndoLog::Rollback() {
   }
   for (const Tracked& t : tracked_) t.rel->set_overflowed(t.old_overflowed);
   entries_.clear();
+}
+
+std::optional<TxnNetChanges> UndoLog::NetChanges() const {
+  TxnNetChanges out;
+  out.reserve(tracked_.size());
+  for (const Tracked& t : tracked_) out[t.rel].begin_version = t.begin_version;
+  std::unordered_map<const Relation*, CountMap> first_pre_image;
+  for (const Entry& entry : entries_) {
+    if (entry.bulk != nullptr) {
+      out[entry.rel].bulk = true;
+    } else {
+      first_pre_image[entry.rel].try_emplace(entry.tuple, entry.old_count);
+    }
+  }
+  for (const auto& [rel, pre_images] : first_pre_image) {
+    RelationNetChange& net = out[rel];
+    if (net.bulk) continue;
+    for (const auto& [tuple, old_count] : pre_images) {
+      if (rel->Count(tuple) != old_count) net.tuples.push_back(tuple);
+    }
+  }
+  return out;
 }
 
 std::unique_ptr<MaintainerTxn> BeginUndoTxn(std::vector<Relation*> relations) {

@@ -32,6 +32,9 @@ class UndoLog : public RelationUndoHook, public MaintainerTxn {
   // MaintainerTxn:
   void Commit() override;
   void Rollback() override;
+  /// Dedupes the log: per (slot, tuple) the first pre-image is the count at
+  /// begin, and the tuple is kept when the live count now differs from it.
+  std::optional<TxnNetChanges> NetChanges() const override;
 
   /// Number of recorded pre-images (for tests/diagnostics).
   size_t size() const { return entries_.size(); }
@@ -51,6 +54,7 @@ class UndoLog : public RelationUndoHook, public MaintainerTxn {
   struct Tracked {
     Relation* rel;
     bool old_overflowed;
+    uint64_t begin_version;
   };
 
   std::vector<Tracked> tracked_;

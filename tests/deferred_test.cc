@@ -26,12 +26,12 @@ TEST(DeferredTest, StagedChangesAreInvisibleUntilRefresh) {
   EXPECT_TRUE(dvm.dirty());
   EXPECT_EQ(dvm.staged_tuples(), 1u);
   // Stale read: hop unchanged.
-  EXPECT_FALSE(dvm.GetRelation("hop").value()->Contains(Tup("b", "d")));
+  EXPECT_FALSE(dvm.snapshot().Get("hop").value()->Contains(Tup("b", "d")));
 
   ChangeSet out = dvm.Refresh().value();
   EXPECT_FALSE(dvm.dirty());
   EXPECT_EQ(out.Delta("hop").Count(Tup("b", "d")), 1);
-  EXPECT_TRUE(dvm.GetRelation("hop").value()->Contains(Tup("b", "d")));
+  EXPECT_TRUE(dvm.snapshot().Get("hop").value()->Contains(Tup("b", "d")));
 }
 
 TEST(DeferredTest, ChurnCancelsBeforeMaintenance) {
@@ -61,7 +61,7 @@ TEST(DeferredTest, MultipleStagesMergeIntoOnePass) {
   // hop(a,c) survives via the new route a->x->c, so as a set the view is
   // unchanged — the single merged pass sees that directly.
   EXPECT_TRUE(out.empty());
-  EXPECT_TRUE(dvm.GetRelation("hop").value()->Contains(Tup("a", "c")));
+  EXPECT_TRUE(dvm.snapshot().Get("hop").value()->Contains(Tup("a", "c")));
 }
 
 TEST(DeferredTest, RefreshErrorKeepsStagedBuffer) {
@@ -78,7 +78,7 @@ TEST(DeferredTest, RefreshErrorKeepsStagedBuffer) {
   good.Insert("link", Tup("c", "d"));
   dvm.Stage(good);
   IVM_EXPECT_OK(dvm.RefreshIfDirty());
-  EXPECT_TRUE(dvm.GetRelation("hop").value()->Contains(Tup("b", "d")));
+  EXPECT_TRUE(dvm.snapshot().Get("hop").value()->Contains(Tup("b", "d")));
 }
 
 TEST(DeferredTest, RefreshIfDirtyNoopWhenClean) {

@@ -1,7 +1,10 @@
 // Robustness: malformed inputs must produce error Statuses, never crashes,
 // and maintainers must stay usable after rejected operations.
 
+#include <algorithm>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -10,6 +13,7 @@
 #include "sql/sql_translator.h"
 #include "test_util.h"
 #include "txn/failpoint.h"
+#include "txn/undo_log.h"
 
 namespace ivm {
 namespace {
@@ -157,6 +161,50 @@ std::string Fingerprint(ViewManager& vm,
           "\n";
   }
   return fp;
+}
+
+// The undo log's net changes: one entry per tuple whose count differs from
+// its count at begin, however many edits it took; a tuple edited back to
+// its old count is not a change (DRed's over-delete then rederive).
+TEST(UndoLogTest, NetChangesKeepOnlyTuplesThatEndedDifferent) {
+  Relation r("r", 1);
+  Relation untouched("u", 1);
+  r.Add(Tup(1), 1);
+  r.Add(Tup(2), 1);
+  const uint64_t begin_version = r.version();
+  UndoLog log({&r, &untouched});
+  r.Erase(Tup(1));
+  r.Add(Tup(1), 1);   // rederived: back to its old count
+  r.Add(Tup(2), 2);   // count 1 -> 3
+  r.Add(Tup(3), 1);   // inserted
+  r.Add(Tup(3), -1);  // and deleted again
+  r.Add(Tup(4), 1);   // inserted
+  std::optional<TxnNetChanges> net = log.NetChanges();
+  ASSERT_TRUE(net.has_value());
+  ASSERT_EQ(net->size(), 2u);
+  const RelationNetChange& change = net->at(&r);
+  EXPECT_FALSE(change.bulk);
+  EXPECT_EQ(change.begin_version, begin_version);
+  std::vector<Tuple> tuples = change.tuples;
+  std::sort(tuples.begin(), tuples.end());
+  EXPECT_EQ(tuples, (std::vector<Tuple>{Tup(2), Tup(4)}));
+  EXPECT_TRUE(net->at(&untouched).tuples.empty());
+  log.Rollback();
+  EXPECT_EQ(r.ToString(), "{(1), (2)}");
+}
+
+TEST(UndoLogTest, BulkReplacementIsFlaggedNotListed) {
+  Relation r("r", 1);
+  r.Add(Tup(1), 1);
+  UndoLog log({&r});
+  r.Add(Tup(2), 1);
+  r.Clear();
+  r.Add(Tup(3), 1);
+  std::optional<TxnNetChanges> net = log.NetChanges();
+  ASSERT_TRUE(net.has_value());
+  EXPECT_TRUE(net->at(&r).bulk);
+  EXPECT_TRUE(net->at(&r).tuples.empty());
+  log.Commit();
 }
 
 TEST(RobustnessTest, ThrowingTriggerRollsBackApply) {

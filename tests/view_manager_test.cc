@@ -322,31 +322,5 @@ TEST(SubscriptionTest, MoveTransfersOwnership) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(SubscriptionTest, DetachReleasesOwnershipWithoutUnsubscribing) {
-  auto vm = ViewManager::CreateFromText(
-      kHopText, testing_util::ManagerOptions(Strategy::kCounting))
-                .value();
-  Database db;
-  testing_util::MustLoadFacts(&db, "link(a,b).");
-  IVM_ASSERT_OK(vm->Initialize(db));
-
-  int fired = 0;
-  ViewManager::Subscription sub =
-      vm->Watch("hop", [&](const std::string&, const Relation&) { ++fired; });
-  int id = sub.Detach();
-  EXPECT_FALSE(sub.active());
-  ChangeSet changes;
-  changes.Insert("link", Tup("b", "c"));
-  vm->Apply(changes).value();
-  EXPECT_EQ(fired, 1);  // detaching must not unsubscribe
-
-  // The registration survives the handle: a later change still fires it.
-  EXPECT_GT(id, 0);
-  ChangeSet more;
-  more.Insert("link", Tup("c", "d"));
-  vm->Apply(more).value();
-  EXPECT_EQ(fired, 2);
-}
-
 }  // namespace
 }  // namespace ivm
